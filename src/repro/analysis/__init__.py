@@ -26,91 +26,63 @@ generic linter knows about.  This subsystem enforces them twice over:
 Rule catalog, rationale and how to add a rule: ``docs/static_analysis.md``.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineDiff,
-    BaselineEntry,
-    fingerprint,
-    update_baseline,
-)
-from repro.analysis.cache import (
-    ProjectReport,
-    analyze_project,
-    rule_pack_digest,
-)
-from repro.analysis.callgraph import (
-    CallGraph,
-    ModuleSummary,
-    extract_module,
-    link,
-    render_chain,
-    shortest_chains,
-)
-from repro.analysis.engine import (
-    Finding,
-    Rule,
-    analyze_file,
-    analyze_paths,
-    apply_suppressions,
-    collect_raw_findings,
-    registered_rules,
-    render_json,
-    render_text,
-    rule,
-)
-from repro.analysis.invariants import (
-    InvariantChecker,
-    InvariantViolation,
-    checks_enabled,
-)
-from repro.analysis.purity import (
-    DEFAULT_HOT_ROOTS,
-    check_picklability,
-    check_purity,
-)
-from repro.analysis.rules import (
-    DETERMINISM_PACKAGES,
-    RULE_PACK_VERSION,
-    SIM_PACKAGES,
-)
-from repro.analysis.sarif import render_sarif, sarif_document
-from repro.analysis.seedflow import check_seedflow
+from __future__ import annotations
 
-__all__ = [
-    "Finding",
-    "Rule",
-    "rule",
-    "registered_rules",
-    "analyze_file",
-    "analyze_paths",
-    "collect_raw_findings",
-    "apply_suppressions",
-    "render_text",
-    "render_json",
-    "CallGraph",
-    "ModuleSummary",
-    "extract_module",
-    "link",
-    "shortest_chains",
-    "render_chain",
-    "check_purity",
-    "check_picklability",
-    "check_seedflow",
-    "DEFAULT_HOT_ROOTS",
-    "ProjectReport",
-    "analyze_project",
-    "rule_pack_digest",
-    "Baseline",
-    "BaselineDiff",
-    "BaselineEntry",
-    "fingerprint",
-    "update_baseline",
-    "render_sarif",
-    "sarif_document",
-    "InvariantChecker",
-    "InvariantViolation",
-    "checks_enabled",
-    "DETERMINISM_PACKAGES",
-    "SIM_PACKAGES",
-    "RULE_PACK_VERSION",
-]
+import importlib
+from typing import Any
+
+# name -> module providing it.  Loaded on first access (PEP 562): the
+# simulator imports repro.analysis.invariants on every run, and that must
+# not pay for the call graph, cache, rules and SARIF writer.
+_EXPORTS = {
+    "Finding": "repro.analysis.engine",
+    "Rule": "repro.analysis.engine",
+    "rule": "repro.analysis.engine",
+    "registered_rules": "repro.analysis.engine",
+    "analyze_file": "repro.analysis.engine",
+    "analyze_paths": "repro.analysis.engine",
+    "collect_raw_findings": "repro.analysis.engine",
+    "apply_suppressions": "repro.analysis.engine",
+    "render_text": "repro.analysis.engine",
+    "render_json": "repro.analysis.engine",
+    "CallGraph": "repro.analysis.callgraph",
+    "ModuleSummary": "repro.analysis.callgraph",
+    "extract_module": "repro.analysis.callgraph",
+    "link": "repro.analysis.callgraph",
+    "shortest_chains": "repro.analysis.callgraph",
+    "render_chain": "repro.analysis.callgraph",
+    "check_purity": "repro.analysis.purity",
+    "check_picklability": "repro.analysis.purity",
+    "check_seedflow": "repro.analysis.seedflow",
+    "DEFAULT_HOT_ROOTS": "repro.analysis.purity",
+    "ProjectReport": "repro.analysis.cache",
+    "analyze_project": "repro.analysis.cache",
+    "rule_pack_digest": "repro.analysis.cache",
+    "Baseline": "repro.analysis.baseline",
+    "BaselineDiff": "repro.analysis.baseline",
+    "BaselineEntry": "repro.analysis.baseline",
+    "fingerprint": "repro.analysis.baseline",
+    "update_baseline": "repro.analysis.baseline",
+    "render_sarif": "repro.analysis.sarif",
+    "sarif_document": "repro.analysis.sarif",
+    "InvariantChecker": "repro.analysis.invariants",
+    "InvariantViolation": "repro.analysis.invariants",
+    "checks_enabled": "repro.analysis.invariants",
+    "DETERMINISM_PACKAGES": "repro.analysis.rules",
+    "SIM_PACKAGES": "repro.analysis.rules",
+    "RULE_PACK_VERSION": "repro.analysis.rules",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

@@ -167,6 +167,8 @@ def rule(cls: type[Rule]) -> type[Rule]:
 
 def registered_rules() -> list[type[Rule]]:
     """All registered rule classes, ordered by code."""
+    import repro.analysis.rules  # noqa: F401  (registers the project pack on first use)
+
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 

@@ -47,6 +47,7 @@ from multiprocessing.connection import Connection, wait as _conn_wait
 from collections.abc import Callable, Sequence
 from typing import Any
 
+from repro.parallel.chaos import chaos_point
 from repro.parallel.seeding import derive_rng, derive_seed
 
 __all__ = [
@@ -260,8 +261,6 @@ def _worker_main(conn: Connection, index: int, fn: Callable, args: tuple) -> Non
     from repro.obs import provider
 
     provider.uninstall()
-    from repro.parallel.chaos import chaos_point
-
     chaos_point(index)
     try:
         result = fn(*args)
@@ -412,8 +411,6 @@ def _run_serial(fn, tasks, todo, keys, outcomes, *, policy, label,
             RuntimeWarning,
             stacklevel=4,
         )
-    from repro.parallel.chaos import chaos_point
-
     for i in todo:
         attempt = 1
         while True:

@@ -13,6 +13,8 @@ reproduction of *The Hidden Cost of the Edge* (SC 2021):
 * :mod:`repro.queueing.ggk` — G/G/1 and G/G/k approximations: Kingman's
   bound and the Allen–Cunneen approximation with the Bolch et al.
   :math:`P_s` form used in the paper's Lemma 3.2.
+* :mod:`repro.queueing.roots` — Brent's bracketed root finder, bit-identical
+  to ``scipy.optimize.brentq``, for the percentile and cutoff solvers.
 
 All models use SI units: rates in requests/second, times in seconds.
 """

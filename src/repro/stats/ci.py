@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["batch_means_ci"]
 
@@ -45,5 +44,8 @@ def batch_means_ci(
     means = x[: per * batches].reshape(batches, per).mean(axis=1)
     grand = float(means.mean())
     se = float(means.std(ddof=1)) / math.sqrt(batches)
-    t = float(sps.t.ppf(0.5 + confidence / 2.0, batches - 1))
+    # Local import keeps scipy off the import path; stdtrit(df, p) is t.ppf(p, df).
+    from scipy.special import stdtrit
+
+    t = float(stdtrit(batches - 1, 0.5 + confidence / 2.0))
     return grand, t * se

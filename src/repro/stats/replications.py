@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from collections.abc import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.parallel import derive_seed, resolve_workers, run_tasks
 
@@ -58,7 +57,10 @@ class ReplicationSummary:
         """Student-t CI half-width at the configured confidence."""
         if self.n < 2:
             return math.inf
-        t = float(sps.t.ppf(0.5 + self.confidence / 2.0, self.n - 1))
+        # Local import keeps scipy off the import path; stdtrit(df, p) is t.ppf(p, df).
+        from scipy.special import stdtrit
+
+        t = float(stdtrit(self.n - 1, 0.5 + self.confidence / 2.0))
         return t * self.std / math.sqrt(self.n)
 
     @property

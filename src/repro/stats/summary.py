@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.quantile imports it lazily; load it before workers fork)
 
 __all__ = ["LatencySummary", "summarize"]
 
