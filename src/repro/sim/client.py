@@ -12,7 +12,6 @@ driver, which is what exposes queueing delay honestly.  Two sources:
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Protocol
 
 import numpy as np
@@ -21,8 +20,6 @@ from repro.sim.engine import Simulation
 from repro.sim.request import Request
 
 __all__ = ["OpenLoopSource", "ClosedLoopSource", "TraceSource", "Target"]
-
-_GLOBAL_RID = count()
 
 #: First pre-sampled RNG block size; doubles per refill up to the cap, so
 #: short runs waste few draws and long runs amortize the per-call numpy
@@ -110,7 +107,7 @@ class OpenLoopSource:
             return
         priority = self.priority(self._rng) if callable(self.priority) else self.priority
         request = Request(
-            next(_GLOBAL_RID), site=self.site, created=self.sim.now, priority=priority
+            next(self.sim.rids), site=self.site, created=self.sim.now, priority=priority
         )
         self.generated += 1
         self.target.submit(request)
@@ -180,7 +177,7 @@ class ClosedLoopSource:
     def _send(self) -> None:
         if self.sim.now >= self.stop_time:
             return
-        request = Request(next(_GLOBAL_RID), site=self.site, created=self.sim.now)
+        request = Request(next(self.sim.rids), site=self.site, created=self.sim.now)
         self._mine.add(request.rid)
         self.generated += 1
         self.target.submit(request)
@@ -268,6 +265,6 @@ class TraceSource:
         if self._next < self._times.size:
             self.sim.schedule_at(float(self._times[self._next]), self._fire)
         request = Request(
-            next(_GLOBAL_RID), site=self.site, created=self.sim.now, service_time=service_time
+            next(self.sim.rids), site=self.site, created=self.sim.now, service_time=service_time
         )
         self.target.submit(request)

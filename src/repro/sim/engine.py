@@ -5,12 +5,11 @@ master random generator.  Events are plain callbacks; ties in time are
 broken deterministically by insertion order, so a run is fully
 reproducible given its seed.
 
-The calendar is pluggable (:mod:`repro.sim.calendar`): the default is a
-bucketed calendar queue with O(1) amortized scheduling; ``calendar=
-"heap"`` (or ``REPRO_CALENDAR=heap``) selects the classic binary heap.
-Both pop in exact ``(time, insertion-seq)`` order, so results are
-bit-identical whichever backend is active — pinned by the engine tests
-and the golden campaign matrix.
+The calendar is a plain ``heapq`` binary heap of ``(time, insertion-seq,
+callback, args)`` tuples.  ``(time, seq)`` is unique, so comparisons
+never reach the callback and pops follow exact ``(time, seq)`` order.
+The pending set on the paper's workloads peaks at a few dozen events,
+where the heap beats a bucketed calendar queue (docs/performance.md).
 
 The engine is deliberately minimal (schedule / run / stop): processes
 like stations and sources are built on top as callback-driven state
@@ -20,7 +19,7 @@ generator-based process abstraction for this workload shape.
 
 from __future__ import annotations
 
-import os
+from heapq import heappop, heappush
 from itertools import count
 from collections.abc import Callable, Iterable
 from typing import Any
@@ -30,7 +29,6 @@ import numpy as np
 from repro.analysis.invariants import checker_for_new_simulation
 from repro.obs.provider import current_telemetry
 from repro.parallel.seeding import seed_sequence, spawn_child
-from repro.sim.calendar import CalendarQueue, HeapCalendar
 
 __all__ = ["EventBudgetExceeded", "Simulation"]
 
@@ -62,23 +60,21 @@ class EventBudgetExceeded(RuntimeError):
 # invariant guards: the zero-cost-when-off property is structural, not a
 # runtime branch (pinned by the on/off bit-identity tests).
 _LOOP_TEMPLATE = """\
-def _dispatch(sim, calendar, until, max_events, invariants):
-    peek = calendar.peek
-    pop = calendar.pop
+def _dispatch(sim, heap, until, max_events, invariants):
 {budget_init}
     while not sim._stopped:
-        head = peek()
-        if head is None:
+        if not heap:
             # Calendar drained: nothing can ever fire again.
             if until is not None and until > sim.now:
                 sim.now = until
             return
+        head = heap[0]
         time = head[0]
         if until is not None and time > until:
             sim.now = until
             return
 {budget_check}
-        pop()
+        heappop(heap)
 {check_pre}
         sim.now = time
         head[2](*head[3])
@@ -107,7 +103,10 @@ def _build_dispatch(budgeted: bool, checked: bool):
         ),
         budget_count="        executed += 1" if budgeted else "",
     )
-    namespace: dict[str, Any] = {"EventBudgetExceeded": EventBudgetExceeded}
+    namespace: dict[str, Any] = {
+        "EventBudgetExceeded": EventBudgetExceeded,
+        "heappop": heappop,
+    }
     filename = f"<repro.sim.engine dispatch budgeted={budgeted} checked={checked}>"
     exec(compile(src, filename, "exec"), namespace)
     return namespace["_dispatch"]
@@ -134,12 +133,6 @@ class Simulation:
         (:func:`repro.obs.install`); the default is ``None`` — no
         telemetry, and the simulator runs exactly as before the
         observability layer existed.
-    calendar:
-        Event-calendar backend: ``"calendar"`` (bucketed calendar queue,
-        the default) or ``"heap"`` (binary heap).  ``None`` consults the
-        ``REPRO_CALENDAR`` environment variable, falling back to
-        ``"calendar"``.  Both produce bit-identical runs; the knob exists
-        for benchmarking and for pinning the equivalence in tests.
 
     Attributes
     ----------
@@ -151,9 +144,13 @@ class Simulation:
         The bound telemetry instance, or ``None`` when disabled.
         Components read this once at construction time, so the event
         hot path never pays for disabled observability.
+    rids:
+        Request-id counter (``next(sim.rids)``) shared by every source and
+        client of this simulation, so a seeded run numbers its requests
+        the same way whatever else ran earlier in the process.
     """
 
-    def __init__(self, seed: int | None = 0, telemetry=None, calendar: str | None = None):
+    def __init__(self, seed: int | None = 0, telemetry=None):
         self.now: float = 0.0
         self._seedseq = seed_sequence(seed)
         self.rng = np.random.default_rng(self._seedseq)
@@ -164,15 +161,9 @@ class Simulation:
         # unless REPRO_CHECK is set, and every hook site guards on that —
         # the disabled hot paths are exactly the pre-checker ones.
         self.invariants = checker_for_new_simulation()
-        kind = calendar if calendar is not None else os.environ.get("REPRO_CALENDAR", "calendar")
-        if kind == "calendar":
-            self._calendar: CalendarQueue | HeapCalendar = CalendarQueue()
-        elif kind == "heap":
-            self._calendar = HeapCalendar()
-        else:
-            raise ValueError(f"calendar must be 'calendar' or 'heap', got {kind!r}")
-        self.calendar_kind = kind
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = count()
+        self.rids = count()
         self._running = False
         self._stopped = False
 
@@ -198,13 +189,13 @@ class Simulation:
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self._calendar.push((self.now + delay, next(self._seq), callback, args))
+        heappush(self._heap, (self.now + delay, next(self._seq), callback, args))
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute virtual ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule at {time} < now ({self.now})")
-        self._calendar.push((time, next(self._seq), callback, args))
+        heappush(self._heap, (time, next(self._seq), callback, args))
 
     def schedule_batch(
         self, delays: Iterable[float], callback: Callable[..., None], *args: Any
@@ -213,17 +204,17 @@ class Simulation:
 
         Semantically identical to calling :meth:`schedule` for each delay
         in turn — insertion sequence numbers (the deterministic tie-break)
-        are allocated in iteration order — but the calendar is touched
-        through one bound method in one loop, so sources and stations can
-        insert runs of events without per-call dispatch overhead.
+        are allocated in iteration order — but the heap, clock and
+        sequence are looked up once, so sources and stations can insert
+        runs of events without per-call dispatch overhead.
         """
         now = self.now
-        push = self._calendar.push
+        heap = self._heap
         seq = self._seq
         for delay in delays:
             if delay < 0:
                 raise ValueError(f"delay must be >= 0, got {delay}")
-            push((now + delay, next(seq), callback, args))
+            heappush(heap, (now + delay, next(seq), callback, args))
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Execute events in time order.
@@ -253,11 +244,12 @@ class Simulation:
         self._stopped = False
         invariants = self.invariants
         dispatch = _DISPATCH[(max_events is not None, invariants is not None)]
+        heap = self._heap
         try:
-            dispatch(self, self._calendar, until, max_events, invariants)
+            dispatch(self, heap, until, max_events, invariants)
         finally:
             self._running = False
-        if self.telemetry is not None and not self._calendar:
+        if self.telemetry is not None and not heap:
             # The calendar drained: nothing can ever be scheduled again,
             # so the run is over — flush the partial window and emit the
             # run summary (idempotent).
@@ -265,7 +257,7 @@ class Simulation:
         if invariants is not None:
             # Conservation holds at every event boundary, so each run()
             # return (drained or `until`-paused) is a valid checkpoint.
-            invariants.check_stations("run end" if not self._calendar else "run pause")
+            invariants.check_stations("run end" if not heap else "run pause")
         return self.now
 
     def stop(self) -> None:
@@ -275,7 +267,7 @@ class Simulation:
     @property
     def pending_events(self) -> int:
         """Number of events still in the calendar."""
-        return len(self._calendar)
+        return len(self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Simulation(now={self.now:.6f}, pending={self.pending_events})"

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.client import _GLOBAL_RID
 from repro.sim.engine import Simulation
 from repro.sim.request import Request
 from repro.sim.tracing import RequestLog
@@ -374,7 +373,7 @@ class ResilientClient:
             return
 
         attempt = Request(
-            next(_GLOBAL_RID),
+            next(self.sim.rids),
             site=site,
             created=now,
             service_time=op.request.service_time,

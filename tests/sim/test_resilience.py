@@ -48,9 +48,7 @@ def _cloud(sim, service=None, servers=4):
 
 
 def _submit(sim, client, at=0.0, site="s0"):
-    from repro.sim.client import _GLOBAL_RID
-
-    request = Request(next(_GLOBAL_RID), site=site, created=at)
+    request = Request(next(sim.rids), site=site, created=at)
     sim.schedule_at(at, client.submit, request)
     return request
 
